@@ -363,22 +363,66 @@ func (c *Cache) frameHolds(f arch.PFN, tag arch.PA) bool {
 
 // FlushPage removes from cache page cp every line belonging to physical
 // frame f, writing dirty lines back. This is the page-granularity flush
-// the pmap layer uses (the set of lines a virtual page maps onto).
-// It is the stage-then-apply form of the staged implementation (see
-// staged.go): the shared-state effects land immediately instead of
-// being deferred across a broadcast barrier.
+// the pmap layer uses (the set of lines a virtual page maps onto). The
+// per-line costs are summed and charged to CatFlush once.
 func (c *Cache) FlushPage(cp arch.CachePage, f arch.PFN) {
-	var st Staged
-	c.FlushPageStage(cp, f, &st)
-	st.Apply(c.mem, c.clock)
+	c.stats.PageFlushes++
+	t := c.clock.Timing()
+	var cycles uint64
+	lo, hi := c.pageSets(cp, f)
+	for si := lo; si < hi; si++ {
+		set := c.sets[si]
+		hit := false
+		for w := range set {
+			ln := &set[w]
+			if ln.valid && c.frameHolds(f, ln.tag) {
+				if ln.dirty {
+					c.mem.WriteLine(ln.tag, ln.data)
+					c.stats.WriteBacks++
+				}
+				ln.valid = false
+				ln.dirty = false
+				hit = true
+			}
+		}
+		if hit {
+			cycles += t.LineFlushHit
+		} else {
+			cycles += t.LineFlushMiss
+		}
+	}
+	c.clock.Charge(sim.CatFlush, cycles)
 }
 
 // PurgePage removes from cache page cp every line belonging to physical
-// frame f without writing anything back.
+// frame f without writing anything back. The per-line costs (or the
+// constant page-purge cost) are charged to CatPurge once.
 func (c *Cache) PurgePage(cp arch.CachePage, f arch.PFN) {
-	var st Staged
-	c.PurgePageStage(cp, f, &st)
-	st.Apply(c.mem, c.clock)
+	c.stats.PagePurges++
+	t := c.clock.Timing()
+	var cycles uint64
+	lo, hi := c.pageSets(cp, f)
+	for si := lo; si < hi; si++ {
+		set := c.sets[si]
+		hit := false
+		for w := range set {
+			ln := &set[w]
+			if ln.valid && c.frameHolds(f, ln.tag) {
+				ln.valid = false
+				ln.dirty = false
+				hit = true
+			}
+		}
+		if hit {
+			cycles += t.LinePurgeHit
+		} else {
+			cycles += t.LinePurgeMiss
+		}
+	}
+	if c.cfg.ConstantPagePurge {
+		cycles = t.ICachePagePurge
+	}
+	c.clock.Charge(sim.CatPurge, cycles)
 }
 
 // PurgeAll empties the whole cache without write-back (power-up state:

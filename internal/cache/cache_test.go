@@ -188,35 +188,153 @@ func TestSetAssociativeLRU(t *testing.T) {
 	}
 }
 
+// target is the frame the page flush and purge tests operate on.
+const target = arch.PFN(10)
+
+// pageLine is one access through cache page 0 (virtual page 0): a store
+// (dirty) or a load (clean) of line l of frame f.
+type pageLine struct {
+	f     arch.PFN
+	l     uint64
+	write bool
+}
+
+func (ln pageLine) pa(geom arch.Geometry) arch.PA {
+	return geom.FrameBase(ln.f) + arch.PA(ln.l*geom.LineSize)
+}
+
+// value is the word a pageLine store writes, unique per line.
+func (ln pageLine) value() uint64 { return uint64(ln.f)<<16 | ln.l + 1 }
+
+// mixedPage leaves target's cache page with 10 clean hits, 20 dirty
+// hits, 10 sets held dirty by frame 11 and the rest empty.
+func mixedPage() []pageLine {
+	var lines []pageLine
+	for l := uint64(0); l < 40; l++ {
+		switch {
+		case l < 10:
+			lines = append(lines, pageLine{target, l, false})
+		case l < 30:
+			lines = append(lines, pageLine{target, l, true})
+		default:
+			lines = append(lines, pageLine{11, l, true})
+		}
+	}
+	return lines
+}
+
+// fillPage performs lines in order and returns the present/dirty state
+// it leaves each line of another frame in.
+func fillPage(c *Cache, geom arch.Geometry, lines []pageLine) map[arch.PA][2]bool {
+	for _, ln := range lines {
+		va := arch.VA(ln.l * geom.LineSize)
+		if ln.write {
+			c.Write(va, ln.pa(geom), ln.value())
+		} else {
+			c.Read(va, ln.pa(geom))
+		}
+	}
+	others := make(map[arch.PA][2]bool)
+	for _, ln := range lines {
+		if ln.f != target {
+			p, d := c.Present(ln.pa(geom))
+			others[ln.pa(geom)] = [2]bool{p, d}
+		}
+	}
+	return others
+}
+
+// checkScoped verifies that a page operation on target left none of
+// target's lines cached and every other frame's line as fillPage left it.
+func checkScoped(t *testing.T, c *Cache, geom arch.Geometry, lines []pageLine, others map[arch.PA][2]bool) {
+	t.Helper()
+	for _, ln := range lines {
+		if p, _ := c.Present(ln.pa(geom)); ln.f == target && p {
+			t.Errorf("frame %d line %d still cached", target, ln.l)
+		}
+	}
+	for pa, was := range others {
+		if p, d := c.Present(pa); p != was[0] || d != was[1] {
+			t.Errorf("another frame's line %#x changed: present/dirty %t/%t, was %t/%t", pa, p, d, was[0], was[1])
+		}
+	}
+}
+
 func TestFlushPageScopesToFrame(t *testing.T) {
-	c, m, _ := testRig(t, Config{Name: "d"})
 	geom := arch.HP720()
-	// Two frames cached at the same cache page through aligned VAs.
-	vaA := geom.PageBase(0x40) // color 0
-	vaB := geom.PageBase(0x80) // color 0
-	c.Write(vaA, geom.FrameBase(10), 1)
-	c.Write(vaB, geom.FrameBase(11), 2)
-	c.FlushPage(0, 10)
-	if m.ReadWord(geom.FrameBase(10)) != 1 {
-		t.Error("flush page did not write frame 10 back")
-	}
-	if p, _ := c.Present(geom.FrameBase(10)); p {
-		t.Error("frame 10 still cached after page flush")
-	}
-	if p, d := c.Present(geom.FrameBase(11)); !p || !d {
-		t.Error("page flush touched another frame's line")
+	timing := sim.HP720Timing()
+	for _, tc := range []struct {
+		name        string
+		lines       []pageLine
+		hits, dirty uint64
+	}{
+		// Frame 11's store evicts (writes back) target's dirty line from
+		// the direct-mapped set, so the flush finds nothing.
+		{"evicted by another frame", []pageLine{{target, 0, true}, {11, 0, true}}, 0, 0},
+		{"mixed clean, dirty, foreign and empty sets", mixedPage(), 30, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, m, clock := testRig(t, Config{Name: "d"})
+			others := fillPage(c, geom, tc.lines)
+			before, cycles := c.Stats(), clock.CyclesIn(sim.CatFlush)
+			c.FlushPage(0, target)
+			after := c.Stats()
+
+			misses := geom.LinesPerPage() - tc.hits
+			if got, want := clock.CyclesIn(sim.CatFlush)-cycles, tc.hits*timing.LineFlushHit+misses*timing.LineFlushMiss; got != want {
+				t.Errorf("flush cost %d, want %d (%d hits, %d misses)", got, want, tc.hits, misses)
+			}
+			if got := after.WriteBacks - before.WriteBacks; got != tc.dirty {
+				t.Errorf("write-backs %d, want %d", got, tc.dirty)
+			}
+			if got := after.PageFlushes - before.PageFlushes; got != 1 {
+				t.Errorf("page flushes went up by %d, want 1", got)
+			}
+			checkScoped(t, c, geom, tc.lines, others)
+			for _, ln := range tc.lines {
+				if ln.f == target && ln.write && m.ReadWord(ln.pa(geom)) != ln.value() {
+					t.Errorf("frame %d line %d not written back", target, ln.l)
+				}
+			}
+		})
 	}
 }
 
 func TestPurgePageCosts(t *testing.T) {
 	geom := arch.HP720()
-	c, _, clock := testRig(t, Config{Name: "d"})
-	before := clock.CyclesIn(sim.CatPurge)
-	c.PurgePage(3, 42) // empty page: all misses
-	missCost := clock.CyclesIn(sim.CatPurge) - before
-	want := geom.LinesPerPage() * sim.HP720Timing().LinePurgeMiss
-	if missCost != want {
-		t.Errorf("empty page purge cost %d, want %d", missCost, want)
+	timing := sim.HP720Timing()
+	for _, tc := range []struct {
+		name  string
+		lines []pageLine
+		hits  uint64
+	}{
+		{"empty page", nil, 0},
+		{"mixed clean, dirty, foreign and empty sets", mixedPage(), 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, m, clock := testRig(t, Config{Name: "d"})
+			others := fillPage(c, geom, tc.lines)
+			before, cycles := c.Stats(), clock.CyclesIn(sim.CatPurge)
+			c.PurgePage(0, target)
+			after := c.Stats()
+
+			misses := geom.LinesPerPage() - tc.hits
+			if got, want := clock.CyclesIn(sim.CatPurge)-cycles, tc.hits*timing.LinePurgeHit+misses*timing.LinePurgeMiss; got != want {
+				t.Errorf("purge cost %d, want %d (%d hits, %d misses)", got, want, tc.hits, misses)
+			}
+			if got := after.WriteBacks - before.WriteBacks; got != 0 {
+				t.Errorf("purge wrote back %d lines", got)
+			}
+			if got := after.PagePurges - before.PagePurges; got != 1 {
+				t.Errorf("page purges went up by %d, want 1", got)
+			}
+			checkScoped(t, c, geom, tc.lines, others)
+			for _, ln := range tc.lines {
+				if ln.f == target && m.ReadWord(ln.pa(geom)) != 0 {
+					t.Errorf("frame %d line %d reached memory through a purge", target, ln.l)
+				}
+			}
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"vcache/internal/arch"
 	"vcache/internal/cache"
@@ -172,10 +171,6 @@ type Machine struct {
 	// micro-TLB probe on. Set for consistency backends that have not
 	// proven the bulk identity (Config.DisableBulkData).
 	noBulk bool
-
-	// parallel runs broadcast maintenance stages on one goroutine per
-	// CPU (Config.ParallelBroadcast with CPUs > 1).
-	parallel bool
 }
 
 // Config sizes a machine.
@@ -208,13 +203,6 @@ type Config struct {
 	// guard that makes "ineligible backend" mean "provably on the exact
 	// slow path" rather than "hopefully unaffected".
 	DisableBulkData bool
-	// ParallelBroadcast runs the per-CPU halves of the broadcast
-	// maintenance operations (FlushDPage, PurgeDPage, PurgeIPage) on one
-	// goroutine per CPU, with the shared-state effects staged and applied
-	// serially in CPU index order after a barrier. Byte-identical to the
-	// serial loop (see cache.Staged); exists so multi-CPU simulations can
-	// use real host parallelism without giving up determinism.
-	ParallelBroadcast bool
 }
 
 // DefaultConfig returns an HP 720-shaped machine with the oracle enabled.
@@ -258,7 +246,6 @@ func New(cfg Config) (*Machine, error) {
 		maxRetries: 16,
 		noFast:     cfg.DisableFastPaths,
 		noBulk:     cfg.DisableBulkData,
-		parallel:   cfg.ParallelBroadcast && cfg.CPUs > 1,
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		dc, err := cache.New(cache.Config{
@@ -419,67 +406,29 @@ func (m *Machine) snoopInvalidate(va arch.VA, pa arch.PA) {
 // shootdowns a multiprocessor kernel performs; on one CPU they reduce to
 // the plain operations).
 
-// broadcast runs one staged maintenance operation on every CPU's cache
-// (pick selects data or instruction cache). The serial form stages and
-// applies per CPU in index order — exactly the old per-CPU loop. The
-// parallel form (Config.ParallelBroadcast) stages concurrently, one
-// goroutine per CPU, then applies serially in CPU index order after the
-// barrier; cache.Staged's invariants make the two forms byte-identical,
-// so ParallelBroadcast never appears in a result or a snapshot key's
-// meaningful state.
-func (m *Machine) broadcast(pick func(*CPU) *cache.Cache, stage func(*cache.Cache, *cache.Staged)) {
-	if !m.parallel {
-		var st cache.Staged
-		for i := range m.cpus {
-			stage(pick(&m.cpus[i]), &st)
-			st.Apply(m.Mem, m.Clock)
-		}
-		return
-	}
-	staged := make([]cache.Staged, len(m.cpus))
-	var wg sync.WaitGroup
-	for i := range m.cpus {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			stage(pick(&m.cpus[i]), &staged[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range m.cpus {
-		staged[i].Apply(m.Mem, m.Clock)
-	}
-}
-
-func dcacheOf(c *CPU) *cache.Cache { return c.DCache }
-func icacheOf(c *CPU) *cache.Cache { return c.ICache }
-
 // FlushDPage flushes frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) FlushDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.FlushPageStage(cp, f, st)
-	})
+	for i := range m.cpus {
+		m.cpus[i].DCache.FlushPage(cp, f)
+	}
 }
 
 // PurgeDPage purges frame f's lines from data-cache page cp on every CPU.
 func (m *Machine) PurgeDPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(dcacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.PurgePageStage(cp, f, st)
-	})
+	for i := range m.cpus {
+		m.cpus[i].DCache.PurgePage(cp, f)
+	}
 }
 
 // PurgeIPage purges frame f's lines from instruction-cache page cp on
 // every CPU.
 func (m *Machine) PurgeIPage(cp arch.CachePage, f arch.PFN) {
-	m.broadcast(icacheOf, func(c *cache.Cache, st *cache.Staged) {
-		c.PurgePageStage(cp, f, st)
-	})
+	for i := range m.cpus {
+		m.cpus[i].ICache.PurgePage(cp, f)
+	}
 }
 
-// InvalidateTLB drops (space, vpn) from every CPU's TLB. Kept serial
-// even under ParallelBroadcast: the per-TLB work is a map delete,
-// far below the grain where a goroutine pays for itself, and it touches
-// no shared state to stage.
+// InvalidateTLB drops (space, vpn) from every CPU's TLB.
 func (m *Machine) InvalidateTLB(space arch.SpaceID, vpn arch.VPN) {
 	for i := range m.cpus {
 		m.cpus[i].TLB.InvalidatePage(space, vpn)

@@ -154,6 +154,40 @@ func TestBroadcastOps(t *testing.T) {
 	}
 }
 
+// TestBroadcastMaintenanceAllocs: the broadcast flush and purges run on
+// every page-granular consistency action, so they must not allocate,
+// even when several CPUs hold dirty lines of the frame to write back.
+func TestBroadcastMaintenanceAllocs(t *testing.T) {
+	m, _ := newSMP(t, 2)
+	const f = arch.PFN(3)
+	va, pa := m.Geom.PageBase(3), m.Geom.FrameBase(f)
+	// Each CPU dirties its own four lines of the frame (at most one
+	// dirty copy of a line machine-wide, as snooping guarantees) and
+	// caches the same lines in its instruction cache.
+	fill := func() {
+		for i := range m.cpus {
+			for l := 0; l < 4; l++ {
+				off := uint64(i*4+l) * m.Geom.LineSize
+				m.cpus[i].DCache.Write(va+arch.VA(off), pa+arch.PA(off), uint64(l))
+				m.cpus[i].ICache.Read(va+arch.VA(off), pa+arch.PA(off))
+			}
+		}
+	}
+	dcp, icp := m.Geom.DCachePageOf(va), m.Geom.ICachePageOf(va)
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"FlushDPage", func() { m.FlushDPage(dcp, f) }},
+		{"PurgeDPage", func() { m.PurgeDPage(dcp, f) }},
+		{"PurgeIPage", func() { m.PurgeIPage(icp, f) }},
+	} {
+		if n := testing.AllocsPerRun(20, func() { fill(); op.run() }); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", op.name, n)
+		}
+	}
+}
+
 // TestSMPBulkFastPathExact proves the multiprocessor bulk paths both
 // ENGAGE (BulkZeroPage performs the whole page, rather than falling
 // back because CPUs > 1) and stay exact: the hoisted per-line peer
