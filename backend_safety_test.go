@@ -50,13 +50,13 @@ func TestEveryBackendFastPathSafeOrIneligible(t *testing.T) {
 				return // ineligible and provably disabled: safe.
 			}
 
-			// Eligible: prove it. Oracle off (the configuration where the
-			// bulk paths actually engage), fast vs reference pipeline,
-			// Results must be deeply equal — every cycle, every counter.
+			// Eligible: prove it. Oracle on (the default configuration),
+			// fast vs reference pipeline, Results must be deeply equal —
+			// every cycle, every counter, every oracle check.
 			for _, w := range []harness.Workload{workload.Stress(7, 300), workload.KernelBuild()} {
 				s := harness.Spec{Workload: w, Config: cfg, Scale: workload.Small()}
-				fast := runWith(t, s, false, true)
-				slow := runWith(t, s, false, false)
+				fast := runWith(t, s, true, true)
+				slow := runWith(t, s, true, false)
 				if !reflect.DeepEqual(fast, slow) {
 					t.Errorf("%s: backend %v diverges between bulk and reference paths\nfast: %+v\nslow: %+v",
 						s.Label(), b.Kind(), fast, slow)

@@ -17,11 +17,10 @@
 //     (forking a frozen post-setup machine snapshot, the copy-on-write
 //     image path vcached pools behind -snapshot-pool).
 //
-// Measurement runs execute with the oracle disabled, the benchmark
-// configuration (checking every word would dominate the measurement);
-// the identity tests in fastpath_test.go prove the oracle-off fast-path
-// Results are identical to the checked ones, so the trajectory tracks
-// the same simulations the tables report.
+// Every cell runs in the default configuration, oracle on — the
+// simulations the tables, vcachesim and vcached run — so the trajectory
+// times what users run; fastpath_test.go proves the fast and reference
+// pipelines give identical Results.
 //
 // Usage:
 //
@@ -102,8 +101,13 @@ func main() {
 	writes := flag.Int("writes", 200000, "alias microbenchmark write count")
 	out := flag.String("out", "BENCH_hotpath.json", "output path ('-' for stdout)")
 	flag.Parse()
-	if *factor <= 0 || *reps < 1 {
-		log.Fatalf("invalid -scale %g / -reps %d", *factor, *reps)
+	switch {
+	case *factor <= 0:
+		log.Fatalf("-scale must be > 0, got %g", *factor)
+	case *reps < 1:
+		log.Fatalf("-reps must be >= 1, got %d", *reps)
+	case *writes < 1:
+		log.Fatalf("-writes must be >= 1, got %d", *writes)
 	}
 
 	scale := workload.Scale{Name: "bench", Factor: *factor}
@@ -115,7 +119,7 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	// Table 4 matrix, fast paths on, oracle off.
+	// Table 4 matrix, fast paths on.
 	for _, w := range workload.Benchmarks() {
 		for _, cfg := range policy.Configs() {
 			e := measure(w, cfg, scale, *reps, true)
@@ -124,8 +128,8 @@ func main() {
 		}
 	}
 
-	// Section 2.5 microbenchmark (oracle on — it is itself a correctness
-	// probe; its cost is dominated by the per-write consistency faults).
+	// Section 2.5 microbenchmark (its cost is dominated by the
+	// per-write consistency faults).
 	for _, aligned := range []bool{true, false} {
 		e, err := measureMicro(*writes, aligned, *reps)
 		if err != nil {
@@ -176,10 +180,9 @@ func mustConfig(label string) policy.Config {
 	return cfg
 }
 
-// measure times one workload × config cell, oracle off, best of reps.
+// measure times one workload × config cell, best of reps.
 func measure(w harness.Workload, cfg policy.Config, scale workload.Scale, reps int, fast bool) Entry {
 	kc := kernel.DefaultConfig(cfg)
-	kc.Machine.WithOracle = false
 	kc.Machine.DisableFastPaths = !fast
 	spec := harness.Spec{Workload: w, Config: cfg, Scale: scale, Kernel: &kc}
 	var best Entry
@@ -213,12 +216,11 @@ func measure(w harness.Workload, cfg policy.Config, scale workload.Scale, reps i
 
 // measureMP times the multiprocessor leg: kernel-build × F on 4 CPUs
 // with deterministic quantum preemption (quantum 50k cycles, seed 1 —
-// the same parameters cmd/tables uses), oracle off, best of reps.
+// the same parameters cmd/tables uses), best of reps.
 func measureMP(scale workload.Scale, reps int) Entry {
 	w := workload.KernelBuild()
 	cfg := mustConfig("F")
 	kc := kernel.DefaultConfig(cfg)
-	kc.Machine.WithOracle = false
 	kc.Machine.CPUs = 4
 	kc.Sched = kernel.SchedConfig{Quantum: 50000, Seed: 1}
 	spec := harness.Spec{Workload: w, Config: cfg, Scale: scale, Kernel: &kc}
@@ -250,16 +252,14 @@ func measureMP(scale workload.Scale, reps int) Entry {
 }
 
 // measureWarmBoot times time-to-first-measured-cycle for kernel-build
-// × F, oracle off like every other cell: cold is one kernel
-// construction plus the workload's setup phase; warm is one
-// Snapshot.Fork of the frozen post-setup image. Both sides are
-// best-of-reps; the snapshot is taken once and forked repeatedly,
+// × F: cold is one kernel construction plus the workload's setup phase;
+// warm is one Snapshot.Fork of the frozen post-setup image. Both sides
+// are best-of-reps; the snapshot is taken once and forked repeatedly,
 // exactly as the vcached pool uses it.
 func measureWarmBoot(scale workload.Scale, reps int) WarmBoot {
 	w := workload.KernelBuild()
 	cfg := mustConfig("F")
 	kc := kernel.DefaultConfig(cfg)
-	kc.Machine.WithOracle = false
 	wb := WarmBoot{Workload: w.Name, Config: cfg.Label}
 	var last *kernel.Kernel
 	for i := 0; i < reps; i++ {

@@ -1,12 +1,12 @@
-// Identity proof for the simulator's hot-path optimizations: with the
-// oracle disabled (the benchmarking configuration, where the bulk
-// zero/copy/DMA paths and the micro-TLB probe all engage) a run must
-// produce a Result identical — field for field, including every cycle
-// and every counter — to the same run forced through the word-at-a-time
-// reference pipeline. Together with the golden sweep tests (which run
-// oracle-on and pin the observable output of the guarded slow path),
-// this is the "byte-identical before/after" acceptance bar for the fast
-// paths.
+// Identity proof for the simulator's hot-path optimizations: a run with
+// the bulk zero/copy/DMA paths and the micro-TLB probe engaged must
+// produce a Result identical — field for field, including every cycle,
+// every counter and the oracle's check count — to the same run forced
+// through the word-at-a-time reference pipeline. The fast paths run
+// whether or not the oracle or a tracer is attached, so the proof is
+// made in each of those configurations. Together with the golden sweep
+// tests (which pin the oracle-on output), this is the "byte-identical
+// before/after" acceptance bar for the fast paths.
 package vcache
 
 import (
@@ -16,6 +16,7 @@ import (
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
 	"vcache/internal/policy"
+	"vcache/internal/trace"
 	"vcache/internal/workload"
 )
 
@@ -23,11 +24,12 @@ import (
 // configuration A (release-time flushes around every prepare), the full
 // lazy configuration F (WillOverwrite leaves stale lines for the bulk
 // writes to hit), the Tut/Sun system variants (Sun exercises the
-// uncached fallback), and the paging/IPC torture workload.
+// uncached fallback), the RLT peer backend, and the paging/IPC torture
+// workload.
 func fastpathSpecs() []harness.Spec {
 	scale := workload.Small()
 	var specs []harness.Spec
-	for _, label := range []string{"A", "D", "F", "Tut", "Sun"} {
+	for _, label := range []string{"A", "D", "F", "Tut", "Sun", "RLT"} {
 		cfg, err := policy.ByLabel(label)
 		if err != nil {
 			panic(err)
@@ -44,38 +46,80 @@ func fastpathSpecs() []harness.Spec {
 // enabled or disabled.
 func runWith(t *testing.T, s harness.Spec, oracle, fast bool) harness.Result {
 	t.Helper()
+	r, _ := runTraced(t, s, oracle, fast)
+	return r
+}
+
+// runTraced is runWith that also returns the recorder of a spec with
+// TraceN set.
+func runTraced(t *testing.T, s harness.Spec, oracle, fast bool) (harness.Result, *trace.Recorder) {
+	t.Helper()
 	kc := kernel.DefaultConfig(s.Config)
 	kc.Machine.WithOracle = oracle
 	kc.Machine.DisableFastPaths = !fast
 	s.Kernel = &kc
-	r, _, err := harness.Exec(s)
+	r, rec, err := harness.Exec(s)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Label(), err)
 	}
-	return r
+	return r, rec
 }
 
-// TestFastPathsObservationIdentical: oracle off, fast paths on vs off —
-// the Results must be deeply equal.
+// TestFastPathsObservationIdentical: fast paths on vs off, with the
+// oracle on and with it off — the Results must be deeply equal,
+// OracleChecks included.
 func TestFastPathsObservationIdentical(t *testing.T) {
 	for _, s := range fastpathSpecs() {
 		s := s
 		t.Run(s.Label(), func(t *testing.T) {
 			t.Parallel()
-			fast := runWith(t, s, false, true)
-			slow := runWith(t, s, false, false)
-			if !reflect.DeepEqual(fast, slow) {
-				t.Errorf("fast and slow paths diverge\nfast: %+v\nslow: %+v", fast, slow)
+			for _, oracle := range []bool{true, false} {
+				fast := runWith(t, s, oracle, true)
+				slow := runWith(t, s, oracle, false)
+				if !reflect.DeepEqual(fast, slow) {
+					t.Errorf("oracle=%t: fast and slow paths diverge\nfast: %+v\nslow: %+v", oracle, fast, slow)
+				}
+				if oracle && fast.OracleChecks == 0 {
+					t.Error("oracle run performed no checks")
+				}
 			}
 		})
 	}
 }
 
-// TestFastPathsMatchOracleRun: the oracle-checked run (which forces the
-// bulk guards to the slow path but keeps the micro-TLB and clock changes
-// live) must agree with the oracle-off fast run on everything except the
-// oracle's own counters. This ties the benchmark configuration back to
-// the checked configuration the tables are generated under.
+// TestFastPathsTracedIdentical: with a tracer attached, the bulk paths
+// and the reference pipeline must give identical Results and identical
+// recorded events (the word loop emits nothing after word 0, so the
+// bulk tail has nothing to skip).
+func TestFastPathsTracedIdentical(t *testing.T) {
+	for _, label := range []string{"A", "F"} {
+		cfg, err := policy.ByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []harness.Workload{workload.KernelBuild(), workload.Stress(7, 300)} {
+			s := harness.Spec{Workload: w, Config: cfg, Scale: workload.Small(), TraceN: 1 << 14}
+			t.Run(s.Label(), func(t *testing.T) {
+				t.Parallel()
+				fast, frec := runTraced(t, s, true, true)
+				slow, srec := runTraced(t, s, true, false)
+				if !reflect.DeepEqual(fast, slow) {
+					t.Errorf("traced fast and slow paths diverge\nfast: %+v\nslow: %+v", fast, slow)
+				}
+				if frec.Total() == 0 {
+					t.Fatal("tracer recorded no events")
+				}
+				if frec.Total() != srec.Total() || !reflect.DeepEqual(frec.Events(), srec.Events()) {
+					t.Errorf("recorded events diverge: fast %d, slow %d", frec.Total(), srec.Total())
+				}
+			})
+		}
+	}
+}
+
+// TestFastPathsMatchOracleRun: the oracle-checked run must agree with
+// the unchecked run on everything except the oracle's own counters —
+// checking is pure observation and never changes which path executes.
 func TestFastPathsMatchOracleRun(t *testing.T) {
 	for _, s := range fastpathSpecs() {
 		s := s
@@ -89,7 +133,7 @@ func TestFastPathsMatchOracleRun(t *testing.T) {
 			checked.OracleChecks = 0
 			checked.OracleViolations = 0
 			if !reflect.DeepEqual(fast, checked) {
-				t.Errorf("oracle-off fast run diverges from oracle-checked run\nfast:    %+v\nchecked: %+v", fast, checked)
+				t.Errorf("unchecked run diverges from oracle-checked run\nfast:    %+v\nchecked: %+v", fast, checked)
 			}
 		})
 	}

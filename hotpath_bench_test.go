@@ -1,9 +1,9 @@
 // Hot-path benchmarks: how fast the simulator itself runs, fast paths
-// on versus the word-at-a-time reference pipeline, with the oracle off
-// (the benchmarking configuration — checking every word would dominate
-// the measurement; fastpath_test.go proves the Results are identical
-// either way). cmd/vcachebench runs the same comparison standalone and
-// records it in BENCH_hotpath.json; these targets make it reachable via
+// on versus the word-at-a-time reference pipeline, in the default
+// configuration users run (oracle on; fastpath_test.go proves the
+// Results are identical either way). cmd/vcachebench runs the same
+// comparison standalone and records it in BENCH_hotpath.json; these
+// targets make it reachable via
 //
 //	go test -run - -bench HotPath .
 package vcache
@@ -16,15 +16,13 @@ import (
 )
 
 // benchHotPath runs kernel-build (the heaviest benchmark: constant
-// frame recycling, so the most zero/copy traffic) under cfg with the
-// oracle off.
+// frame recycling, so the most zero/copy traffic) under cfg.
 func benchHotPath(b *testing.B, label string, fast bool) {
 	cfg, err := policy.ByLabel(label)
 	if err != nil {
 		b.Fatal(err)
 	}
 	kc := defaultKC(cfg)
-	kc.Machine.WithOracle = false
 	kc.Machine.DisableFastPaths = !fast
 	runWorkload(b, workload.KernelBuild(), cfg, kc)
 }

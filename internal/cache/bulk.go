@@ -91,8 +91,11 @@ func (c *Cache) BulkZeroTail(va arch.VA, pa arch.PA, words uint64) {
 // 1..words-1: source page at (sva, spa), destination at (dva, dpa).
 // Word 0 of both pages must already have gone through the full
 // Read/Write path. The source and destination must select disjoint sets
-// (distinct cache colors) — the caller verifies this.
-func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA, words uint64) {
+// (distinct cache colors) — the caller verifies this. When delivered is
+// non-nil (at least words long), delivered[w] receives source word w as
+// the reads returned it, for the caller's oracle; words 1..words-1 are
+// written and the rest of the slice is untouched.
+func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA, words uint64, delivered []uint64) {
 	wpl := c.geom.WordsPerLine()
 	t := c.clock.Timing()
 	for w := uint64(1); w < words; {
@@ -159,7 +162,11 @@ func (c *Cache) BulkCopyTail(sva arch.VA, spa arch.PA, dva arch.VA, dpa arch.PA,
 		c.stats.Writes += n
 		c.tick += n
 		dln.lru = c.tick
-		copy(dln.data[w-lineStart:end-lineStart], sln.data[w-lineStart:end-lineStart])
+		src := sln.data[w-lineStart : end-lineStart]
+		copy(dln.data[w-lineStart:end-lineStart], src)
+		if delivered != nil {
+			copy(delivered[w:end], src)
+		}
 		dln.dirty = true
 		c.clock.Charge(sim.CatAccess, t.CacheHit*n)
 		w = end

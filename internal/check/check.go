@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"vcache/internal/arch"
+	"vcache/internal/core"
 	"vcache/internal/machine"
 	"vcache/internal/mem"
 	"vcache/internal/pmap"
@@ -80,6 +81,9 @@ func newWorld(feat policy.Features) (*world, error) {
 		CPUs:       2,
 		WithOracle: true,
 		Timing:     sim.HP720Timing(),
+		// As in kernel.New: a bulk-ineligible backend runs the exact
+		// word-at-a-time path, so the checker explores what runs.
+		DisableBulkData: !core.BackendFor(feat.Backend).BulkEligible(),
 	}
 	m, err := machine.New(mc)
 	if err != nil {

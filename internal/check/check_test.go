@@ -7,11 +7,12 @@ import (
 )
 
 // TestExploreShallow exhaustively checks every 3-step operation
-// sequence under every configuration and Table 5 system (11³ = 1331
-// sequences each, with a 3-read epilogue).
+// sequence under every configuration, Table 5 system and peer backend
+// (12³ = 1728 sequences each, with a 3-read epilogue). The zero-fill,
+// page-copy and DMA operations run the machine's bulk paths, so this
+// also checks them under the oracle.
 func TestExploreShallow(t *testing.T) {
-	configs := append(policy.Configs(), policy.Table5Systems()...)
-	for _, cfg := range configs {
+	for _, cfg := range policy.All() {
 		cfg := cfg
 		t.Run(cfg.Label, func(t *testing.T) {
 			res, err := Explore(cfg.Features, 3)

@@ -143,13 +143,16 @@ func (hybridBackend) Other(op Operation, s State) Transition {
 	return OtherTransition(op, s)
 }
 
-// BulkEligible: false by design. Hybrid flips per-page cacheability
-// mid-run; the bulk paths' first-word probe only re-checks uncached-ness
-// at the page head, so a frame switching modes between the probe and the
-// tail could be charged on the wrong path. Until that is proven safe,
-// the backend declares itself ineligible and kernel.New disables bulk
-// data paths (the exact slow path is used instead).
-func (hybridBackend) BulkEligible() bool { return false }
+// BulkEligible: hybrid flips per-page cacheability mid-run, but only at
+// the end of a faulting access (hybridApplyPending), never between the
+// bulk paths' first-word probe and their tail: the tail is fault-free,
+// exactly as the reference loop's remaining words are. A switch fired by
+// the first word's own fault invalidates the window translation, which
+// the probe sees, so the call falls back to the word loop. The root
+// backend fast-path test and pmap's TestHybridBulkPathsMatchReference
+// (copies and zero-fills interleaved with switches and reverts) prove
+// the identity.
+func (hybridBackend) BulkEligible() bool { return true }
 
 var backends = [numBackends]Backend{
 	BackendCMU:    cmuBackend{},

@@ -101,9 +101,9 @@ func TestRLTBackendRewritesCPUMaintenance(t *testing.T) {
 
 // TestHybridBackendTablesAndEligibility: the hybrid backend reuses the
 // CMU tables verbatim (the adaptive policy is a pmap-level mode
-// switch, not a different transition function) and must declare itself
-// ineligible for the bulk fast paths — mid-run cacheability flips
-// invalidate the first-word-probe assumption the bulk loops rely on.
+// switch, not a different transition function) and is bulk-eligible —
+// its mode switches apply only at the end of a faulting access, which
+// the bulk paths' first-word probe already re-checks.
 func TestHybridBackendTablesAndEligibility(t *testing.T) {
 	b := BackendFor(BackendHybrid)
 	for _, op := range Operations {
@@ -116,8 +116,8 @@ func TestHybridBackendTablesAndEligibility(t *testing.T) {
 			}
 		}
 	}
-	if b.BulkEligible() {
-		t.Error("hybrid backend must not claim bulk eligibility")
+	if !b.BulkEligible() {
+		t.Error("hybrid backend must be bulk-eligible (its mode switches never fall inside a bulk tail)")
 	}
 }
 

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"vcache/internal/arch"
+	"vcache/internal/oracle"
 )
 
 // Bulk page paths. BulkZeroPage and BulkCopyPage are the machine-level
@@ -16,13 +17,23 @@ import (
 //     the TLB hits the loop would score, and the cache's Bulk*Tail
 //     methods reproduce the per-line hit/miss/write-back behavior.
 //
+// The oracle sees the tail as word ranges with the per-word loop's exact
+// semantics: a zero-fill records its zeroed tail, a copy observes the
+// delivered source tail and then records it at the destination. (The
+// loop interleaves those per word; batching them is exact because the
+// two frames are distinct, so no destination record can change a source
+// word's shadow.) Oracle runs and traced runs therefore take the same
+// bulk path as unchecked ones — the pmap's word loop after word 0 emits
+// no trace events.
+//
 // The result is observation-identical to the word loop — same Result
-// bytes, same cache/TLB statistics, same memory images — whenever the
-// guards hold: no oracle (it records every word), a write-back virtually
-// indexed data cache (see cache.CanBulk), and a cacheable translation.
-// When a guard fails the methods return the number of words already
-// performed (0 or 1) and the caller finishes with the reference loop, so
-// oracle mode, traced runs, and the cache variants keep the exact slow
+// bytes, same cache/TLB statistics, same memory images, same oracle
+// checks and violations — whenever the guards hold: fast paths enabled,
+// a bulk-eligible backend, a write-back virtually indexed data cache
+// (see cache.CanBulk), and a cacheable translation. When a guard fails
+// the methods return the number of words already performed (0 or 1) and
+// the caller finishes with the reference loop, so DisableFastPaths,
+// bulk-ineligible backends and the cache variants keep the exact slow
 // path.
 //
 // On a multiprocessor the reference loop snoops peers once per word;
@@ -38,13 +49,12 @@ import (
 
 // canBulkData reports whether the machine-level bulk data paths apply.
 func (m *Machine) canBulkData() bool {
-	return !m.noFast && !m.noBulk && m.Oracle == nil && m.cpus[0].DCache.CanBulk()
+	return !m.noFast && !m.noBulk && m.cpus[0].DCache.CanBulk()
 }
 
-// BulkDataEnabled exposes the bulk-path guard for the backend
-// fast-path safety test: a backend that declares itself bulk-ineligible
-// must observably have the paths off (modulo the oracle, which forces
-// the slow path regardless).
+// BulkDataEnabled exposes the configuration half of the bulk-path guard
+// for the backend fast-path safety test: a backend that declares itself
+// bulk-ineligible must observably have the paths off.
 func (m *Machine) BulkDataEnabled() bool { return !m.noFast && !m.noBulk }
 
 // snoopTail performs the per-line peer snoops for the tail of a bulk
@@ -106,6 +116,7 @@ func (m *Machine) BulkZeroPage(space arch.SpaceID, base arch.VA) (uint64, error)
 	pa := m.Geom.Translate(base, e.PFN)
 	m.snoopTail(base, pa, words, true)
 	cpu.DCache.BulkZeroTail(base, pa, words)
+	m.Oracle.RecordZeros(pa+arch.WordSize, int(rest))
 	return words, nil
 }
 
@@ -160,6 +171,9 @@ func (m *Machine) BulkCopyPage(space arch.SpaceID, sbase, dbase arch.VA) (uint64
 	// guard above — so the two passes touch disjoint peer lines).
 	m.snoopTail(sbase, spa, words, false)
 	m.snoopTail(dbase, dpa, words, true)
-	cpu.DCache.BulkCopyTail(sbase, spa, dbase, dpa, words)
+	cpu.DCache.BulkCopyTail(sbase, spa, dbase, dpa, words, m.delivered)
+	tail := m.delivered[1:words]
+	m.Oracle.ObserveWords(oracle.CPURead, spa+arch.WordSize, tail)
+	m.Oracle.RecordWords(dpa+arch.WordSize, tail)
 	return words, nil
 }

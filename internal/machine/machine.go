@@ -171,6 +171,12 @@ type Machine struct {
 	// micro-TLB probe on. Set for consistency backends that have not
 	// proven the bulk identity (Config.DisableBulkData).
 	noBulk bool
+
+	// delivered is BulkCopyPage's page-sized buffer of the source
+	// words the cache delivered, which the oracle observes and records
+	// at the destination. It is allocated once per machine and never
+	// shared by Clone (forks run concurrently).
+	delivered []uint64
 }
 
 // Config sizes a machine.
@@ -246,6 +252,7 @@ func New(cfg Config) (*Machine, error) {
 		maxRetries: 16,
 		noFast:     cfg.DisableFastPaths,
 		noBulk:     cfg.DisableBulkData,
+		delivered:  make([]uint64, cfg.Geometry.WordsPerPage()),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		dc, err := cache.New(cache.Config{
@@ -297,6 +304,7 @@ func (m *Machine) Clone() *Machine {
 	m2.walker = nil
 	m2.handler = nil
 	m2.tracer = nil
+	m2.delivered = make([]uint64, len(m.delivered))
 	m2.cpus = make([]CPU, len(m.cpus))
 	for i := range m.cpus {
 		c := m.cpus[i] // keeps the micro-TLB hint fields
@@ -566,9 +574,10 @@ func (m *Machine) DMAWrite(pa arch.PA, data []uint64) {
 	m.emitDMA(pa, len(data), "write")
 	t := m.Clock.Timing()
 	m.Clock.Charge(sim.CatDMA, t.DMASetup+t.DMAPerWord*uint64(len(data)))
-	if m.Oracle == nil && !m.noFast {
-		// The cycle charge above is already closed-form; with no oracle
-		// recording each word, the transfer is a straight memory move.
+	if !m.noFast {
+		// The cycle charge above is already closed-form, so the
+		// transfer is a straight memory move, recorded as one range.
+		m.Oracle.RecordWords(pa, data)
 		m.Mem.WriteWords(pa, data)
 		return
 	}
@@ -588,8 +597,9 @@ func (m *Machine) DMARead(pa arch.PA, n int) []uint64 {
 	t := m.Clock.Timing()
 	m.Clock.Charge(sim.CatDMA, t.DMASetup+t.DMAPerWord*uint64(n))
 	out := make([]uint64, n)
-	if m.Oracle == nil && !m.noFast {
+	if !m.noFast {
 		m.Mem.ReadWords(pa, out)
+		m.Oracle.ObserveWords(oracle.DeviceRead, pa, out)
 		return out
 	}
 	for i := range out {

@@ -191,15 +191,15 @@ func TestBroadcastMaintenanceAllocs(t *testing.T) {
 // TestSMPBulkFastPathExact proves the multiprocessor bulk paths both
 // ENGAGE (BulkZeroPage performs the whole page, rather than falling
 // back because CPUs > 1) and stay exact: the hoisted per-line peer
-// snoops must leave every cache, the memory image, the statistics and
-// the cycle count identical to the word-at-a-time reference loop run
-// on a twin machine.
+// snoops must leave every cache, the memory image, the statistics, the
+// cycle count and the oracle's checks identical to the word-at-a-time
+// reference loop run on a twin machine. Both machines run with the
+// oracle on, the default.
 func TestSMPBulkFastPathExact(t *testing.T) {
 	build := func(noFast bool) (*Machine, *tableWalker) {
 		cfg := DefaultConfig()
 		cfg.Frames = 64
 		cfg.CPUs = 2
-		cfg.WithOracle = false // the oracle correctly forces the slow path
 		cfg.DisableFastPaths = noFast
 		m, err := New(cfg)
 		if err != nil {
@@ -267,6 +267,10 @@ func TestSMPBulkFastPathExact(t *testing.T) {
 	}
 	if fast.stats != slow.stats {
 		t.Errorf("machine stats: fast %+v, reference %+v", fast.stats, slow.stats)
+	}
+	if fast.Oracle.Checks() != slow.Oracle.Checks() || len(fast.Oracle.Violations())+len(slow.Oracle.Violations()) != 0 {
+		t.Errorf("oracle: fast %d checks %v, reference %d checks %v",
+			fast.Oracle.Checks(), fast.Oracle.Violations(), slow.Oracle.Checks(), slow.Oracle.Violations())
 	}
 	for i := range fast.cpus {
 		if fast.cpus[i].DCache.Stats() != slow.cpus[i].DCache.Stats() {

@@ -61,8 +61,8 @@ func (v Violation) String() string {
 }
 
 // Oracle is the staleness checker. A nil *Oracle is valid and disables
-// all checking (used by the benchmark harness, where checking every word
-// would dominate runtime).
+// all checking (machine.Config.WithOracle = false); every user-facing
+// tool runs with the oracle on.
 type Oracle struct {
 	shadow     []uint64
 	violations []Violation
@@ -106,6 +106,55 @@ func (o *Oracle) Observe(c Consumer, pa arch.PA, got uint64) {
 		o.violations = append(o.violations, v)
 		if o.FailFast != nil {
 			o.FailFast(v)
+		}
+	}
+}
+
+// span bounds-checks the words [pa, pa+n) the way idx checks one word —
+// by checking the first and the last — and returns the shadow slice
+// covering them. n must be positive.
+func (o *Oracle) span(pa arch.PA, n int) []uint64 {
+	i := o.idx(pa)
+	o.idx(pa + arch.PA((n-1)*arch.WordSize))
+	return o.shadow[i : i+uint64(n)]
+}
+
+// RecordWords is RecordWrite for consecutive words: vals[i] becomes the
+// current value at pa+i*WordSize (a bulk copy's destination tail or a
+// DMA device write).
+func (o *Oracle) RecordWords(pa arch.PA, vals []uint64) {
+	if o == nil || len(vals) == 0 {
+		return
+	}
+	copy(o.span(pa, len(vals)), vals)
+}
+
+// RecordZeros is RecordWrite(pa+i*WordSize, 0) for n consecutive words
+// (a bulk zero-fill's tail).
+func (o *Oracle) RecordZeros(pa arch.PA, n int) {
+	if o == nil || n <= 0 {
+		return
+	}
+	clear(o.span(pa, n))
+}
+
+// ObserveWords is Observe for consecutive words: got[i] was delivered
+// to c from pa+i*WordSize. It counts len(got) checks and appends any
+// violations in address order, invoking FailFast on each exactly as
+// the per-word calls would.
+func (o *Oracle) ObserveWords(c Consumer, pa arch.PA, got []uint64) {
+	if o == nil || len(got) == 0 {
+		return
+	}
+	want := o.span(pa, len(got))
+	o.checks += uint64(len(got))
+	for i, g := range got {
+		if g != want[i] {
+			v := Violation{Consumer: c, PA: pa + arch.PA(i*arch.WordSize), Got: g, Want: want[i]}
+			o.violations = append(o.violations, v)
+			if o.FailFast != nil {
+				o.FailFast(v)
+			}
 		}
 	}
 }

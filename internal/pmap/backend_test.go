@@ -1,6 +1,7 @@
 package pmap
 
 import (
+	"reflect"
 	"testing"
 
 	"vcache/internal/arch"
@@ -149,6 +150,105 @@ func TestHybridWriteRunSwitchAndRevert(t *testing.T) {
 		t.Fatalf("post-revert read = %d, want 39", got)
 	}
 	r.checkOracle(t)
+}
+
+// hybridPrepareObservation is everything a page zero/copy can change:
+// cycles by category, machine, cache, TLB and pmap statistics, oracle
+// checks and violations, and the contents of every frame touched.
+type hybridPrepareObservation struct {
+	Clock      *sim.Clock
+	Machine    any
+	DCache     any
+	ICache     any
+	TLB        any
+	Pmap       Stats
+	Checks     uint64
+	Violations any
+	Frames     [][]uint64
+}
+
+// TestHybridBulkPathsMatchReference: the hybrid backend runs the bulk
+// zero/copy paths. Page preparation interleaved with update-mode
+// switches and reverts — copies out of an update-mode frame, copies out
+// of a frame whose write-run evidence crosses the threshold between
+// copies, zero-fills and copies after the revert — must be
+// observation-identical to the word-at-a-time reference.
+func TestHybridBulkPathsMatchReference(t *testing.T) {
+	run := func(noFast bool) hybridPrepareObservation {
+		r := newRigConfig(t, policy.Hybrid().Features, noFast)
+		var frames []arch.PFN
+		alloc := func() arch.PFN {
+			f, err := r.p.AllocFrame(arch.NoCachePage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+			return f
+		}
+		copyTo := func(src arch.PFN, vpn arch.VPN) {
+			if err := r.p.CopyPage(src, alloc(), vpn); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// f: two unaligned aliases ping-ponged into update mode.
+		aliasPingPong(t, r, 40)
+		f, _ := r.p.Translate(1, 0x10)
+		frames = append(frames, f)
+		copyTo(f, 0x30)
+
+		// g: cached, then given an unaligned alias whose alternating
+		// writes cross the write-run threshold between copies.
+		g := alloc()
+		r.p.Enter(1, 0x20, g, arch.ProtReadWrite, KindUser)
+		for w := uint64(0); w < r.m.Geom.WordsPerPage(); w += 7 {
+			r.write(t, 1, 0x20, w, w*3+1)
+		}
+		copyTo(g, 0x31)
+		r.p.Enter(1, 0x23, g, arch.ProtReadWrite, KindUser)
+		for i := 0; i < 8; i++ {
+			r.write(t, 1, arch.VPN(0x20+3*(i&1)), uint64(i), uint64(100+i))
+			copyTo(g, arch.VPN(0x32+i))
+		}
+
+		// Synonym collapse reverts both frames to cached operation.
+		r.p.Remove(1, 0x11)
+		r.p.Remove(1, 0x23)
+		copyTo(f, 0x40)
+		copyTo(g, 0x41)
+		z := alloc()
+		if err := r.p.ZeroPage(z, 0x42); err != nil {
+			t.Fatal(err)
+		}
+		r.checkOracle(t)
+
+		s := r.p.Stats()
+		if s.HybridUpdateSwitches < 2 || s.HybridReverts < 2 {
+			t.Fatalf("scenario switched %d and reverted %d pages, want at least 2 of each",
+				s.HybridUpdateSwitches, s.HybridReverts)
+		}
+		obs := hybridPrepareObservation{
+			Clock:      r.m.Clock,
+			Machine:    r.m.Stats(),
+			DCache:     r.m.DCache.Stats(),
+			ICache:     r.m.ICache.Stats(),
+			TLB:        r.m.TLB.Stats(),
+			Pmap:       s,
+			Checks:     r.m.Oracle.Checks(),
+			Violations: r.m.Oracle.Violations(),
+		}
+		for _, fr := range frames {
+			words := make([]uint64, r.m.Geom.WordsPerPage())
+			r.m.Mem.ReadWords(r.m.Geom.FrameBase(fr), words)
+			obs.Frames = append(obs.Frames, words)
+		}
+		return obs
+	}
+	fast, slow := run(false), run(true)
+	if !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("hybrid bulk paths diverge from the reference loop\nfast: %+v\nslow: %+v",
+			fast, slow)
+	}
 }
 
 // TestBackendHooksSurviveClone: a cloned pmap must re-install its

@@ -34,8 +34,15 @@ func (r *rig) HandleFault(f machine.Fault) error {
 
 func newRig(t *testing.T, feat policy.Features) *rig {
 	t.Helper()
+	return newRigConfig(t, feat, false)
+}
+
+// newRigConfig is newRig with the machine's fast paths on or off.
+func newRigConfig(t *testing.T, feat policy.Features, noFast bool) *rig {
+	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.Frames = 256
+	cfg.DisableFastPaths = noFast
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,8 @@ func TestMultiprocessorBenchmarks(t *testing.T) {
 // Result deep-equal to the same run through the word-at-a-time
 // reference path. The hoisted per-line peer snoops must reproduce the
 // reference's cross-CPU write-backs and invalidations bit for bit —
-// cycles, stats, fault counts, everything.
+// cycles, stats, fault counts, oracle checks, everything. The oracle is
+// on (the default) on both sides, as in every user-facing run.
 func TestMPFastPathIdentity(t *testing.T) {
 	cpuCounts := []int{2, 4}
 	if testing.Short() {
@@ -78,10 +79,6 @@ func TestMPFastPathIdentity(t *testing.T) {
 				run := func(disable bool) Result {
 					kc := kernel.DefaultConfig(cfg)
 					kc.Machine.CPUs = cpus
-					// The oracle records every word, so its presence
-					// (correctly) disables the bulk paths — turn it off
-					// on both sides or the comparison is vacuous.
-					kc.Machine.WithOracle = false
 					kc.Machine.DisableFastPaths = disable
 					kc.Sched = kernel.SchedConfig{Quantum: 20000, Seed: 3}
 					r, err := Run(Stress(17, 400), cfg, Full(), kc)
