@@ -35,6 +35,7 @@ import (
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/replay"
 	"vcache/internal/report"
@@ -80,10 +81,10 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-run progress to stderr")
 	flag.Parse()
 	switch {
-	case *cpus < 1:
-		log.Fatalf("-cpus must be >= 1, got %d", *cpus)
-	case *factor <= 0:
-		log.Fatalf("-scale must be > 0, got %g", *factor)
+	case *cpus < 1 || *cpus > machine.MaxCPUs:
+		log.Fatalf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus)
+	case !harness.ValidFactor(*factor):
+		log.Fatalf("-scale must be a positive finite number, got %g", *factor)
 	case *writes < 1:
 		log.Fatalf("-writes must be >= 1, got %d", *writes)
 	case *jobs < 0:

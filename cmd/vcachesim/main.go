@@ -54,6 +54,7 @@ import (
 	"vcache/internal/core"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/replay"
 	"vcache/internal/sim"
@@ -107,6 +108,9 @@ func main() {
 		}
 		log.Fatal(err)
 	}
+	if *traceN < 0 {
+		fail(fmt.Errorf("-trace must be >= 0, got %d", *traceN))
+	}
 
 	if *replayFile != "" {
 		res, err := runReplay(*replayFile)
@@ -125,11 +129,11 @@ func main() {
 		return
 	}
 
-	if *factor <= 0 {
-		fail(fmt.Errorf("-scale must be > 0, got %g", *factor))
+	if !harness.ValidFactor(*factor) {
+		fail(fmt.Errorf("-scale must be a positive finite number, got %g", *factor))
 	}
-	if *cpus < 1 {
-		fail(fmt.Errorf("-cpus must be >= 1, got %d", *cpus))
+	if *cpus < 1 || *cpus > machine.MaxCPUs {
+		fail(fmt.Errorf("-cpus must be between 1 and %d, got %d", machine.MaxCPUs, *cpus))
 	}
 	cfg, err := policy.ByLabel(*cfgName)
 	if err != nil {

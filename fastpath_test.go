@@ -1,8 +1,8 @@
 // Identity proof for the simulator's hot-path optimizations: a run with
-// the bulk zero/copy/DMA paths and the micro-TLB probe engaged must
-// produce a Result identical — field for field, including every cycle,
-// every counter and the oracle's check count — to the same run forced
-// through the word-at-a-time reference pipeline. The fast paths run
+// the bulk zero/copy/DMA paths engaged must produce a Result identical —
+// field for field, including every cycle, every counter and the
+// oracle's check count — to the same run forced through the
+// word-at-a-time reference pipeline. The fast paths run
 // whether or not the oracle or a tracer is attached, so the proof is
 // made in each of those configurations. Together with the golden sweep
 // tests (which pin the oracle-on output), this is the "byte-identical

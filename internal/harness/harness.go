@@ -20,6 +20,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"vcache/internal/core"
@@ -43,6 +44,11 @@ type Scale struct {
 	// compile counts, loop iterations). 1.0 is full scale.
 	Factor float64
 }
+
+// ValidFactor reports whether f is a usable Scale factor: positive and
+// finite. The service and every command-line tool check scale with it,
+// so all of them reject the same inputs (zero, negatives, NaN, ±Inf).
+func ValidFactor(f float64) bool { return f > 0 && !math.IsInf(f, 1) }
 
 // N scales an intrinsic workload size, never below 1.
 func (s Scale) N(base int) int {

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -251,5 +252,29 @@ func TestScaleN(t *testing.T) {
 	}
 	if n := (harness.Scale{Factor: 1.0}).N(100); n != 100 {
 		t.Errorf("full scale N = %d, want 100", n)
+	}
+}
+
+// TestValidFactor pins the scale predicate the service and the
+// command-line tools share.
+func TestValidFactor(t *testing.T) {
+	for _, tc := range []struct {
+		f    float64
+		want bool
+	}{
+		{1, true},
+		{0.01, true},
+		{1e300, true},
+		{math.SmallestNonzeroFloat64, true},
+		{0, false},
+		{math.Copysign(0, -1), false},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		if got := harness.ValidFactor(tc.f); got != tc.want {
+			t.Errorf("ValidFactor(%v) = %t, want %t", tc.f, got, tc.want)
+		}
 	}
 }

@@ -117,17 +117,6 @@ type CPU struct {
 	DCache *cache.Cache
 	ICache *cache.Cache
 	TLB    *tlb.TLB
-
-	// lastSpace/lastVPN/lastOK are the CPU's one-entry micro-TLB: the
-	// page of the most recent successful translation. A matching access
-	// probes the TLB with Touch (bookkeeping-identical to a Lookup hit)
-	// instead of the full map path. The key is only a hint — Touch
-	// re-verifies residency, so a stale hint costs one probe and is
-	// never a correctness problem, and the hint never needs explicit
-	// invalidation.
-	lastSpace arch.SpaceID
-	lastVPN   arch.VPN
-	lastOK    bool
 }
 
 // Machine is the simulated hardware. It is not safe for concurrent use;
@@ -162,14 +151,14 @@ type Machine struct {
 	// errors instead of livelock.
 	maxRetries int
 
-	// noFast disables the micro-TLB probe and the bulk page paths, for
+	// noFast disables the bulk zero/copy and DMA range paths, for
 	// benchmarking the overhead they remove and for identity tests that
-	// pit the fast paths against the word-at-a-time reference.
+	// pit them against the word-at-a-time reference.
 	noFast bool
 
-	// noBulk disables only the bulk page data paths, leaving the
-	// micro-TLB probe on. Set for consistency backends that have not
-	// proven the bulk identity (Config.DisableBulkData).
+	// noBulk disables only the bulk page zero/copy paths. Set for
+	// consistency backends that have not proven the bulk identity
+	// (Config.DisableBulkData).
 	noBulk bool
 
 	// delivered is BulkCopyPage's page-sized buffer of the source
@@ -198,13 +187,13 @@ type Config struct {
 	ICachePerLinePurge bool
 	WithOracle         bool
 	Timing             sim.Timing
-	// DisableFastPaths forces every access through the word-at-a-time
-	// reference pipeline (no micro-TLB probe, no bulk zero/copy/DMA
-	// paths). The fast paths are observation-identical, so this exists
+	// DisableFastPaths sends every page zero/copy and DMA transfer
+	// through the word-at-a-time reference pipeline instead of the bulk
+	// paths. The bulk paths are observation-identical, so this exists
 	// only for benchmarking them and for the identity tests proving it.
 	DisableFastPaths bool
 	// DisableBulkData disables only the bulk page zero/copy paths,
-	// keeping the micro-TLB probe. kernel.New sets it for any
+	// keeping the DMA range paths. kernel.New sets it for any
 	// consistency backend whose Backend.BulkEligible() is false — the
 	// guard that makes "ineligible backend" mean "provably on the exact
 	// slow path" rather than "hopefully unaffected".
@@ -226,10 +215,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxCPUs is the largest processor count New accepts. Each CPU carries
+// private caches and a TLB, so an unbounded count lets one request or
+// replay file exhaust host memory; no tool uses more than 4.
+const MaxCPUs = 64
+
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.CPUs > MaxCPUs {
+		return nil, fmt.Errorf("machine: %d CPUs exceeds the maximum of %d", cfg.CPUs, MaxCPUs)
 	}
 	clock := sim.NewClock(cfg.Timing)
 	pm, err := mem.New(cfg.Geometry, cfg.Frames)
@@ -307,7 +304,7 @@ func (m *Machine) Clone() *Machine {
 	m2.delivered = make([]uint64, len(m.delivered))
 	m2.cpus = make([]CPU, len(m.cpus))
 	for i := range m.cpus {
-		c := m.cpus[i] // keeps the micro-TLB hint fields
+		c := m.cpus[i]
 		c.DCache = c.DCache.Clone(m2.Mem, m2.Clock)
 		c.ICache = c.ICache.Clone(m2.Mem, m2.Clock)
 		c.TLB = c.TLB.Clone(m2.Clock)
@@ -465,22 +462,7 @@ func (m *Machine) translate(space arch.SpaceID, va arch.VA, acc Access) (arch.PA
 	for try := 0; try <= m.maxRetries; try++ {
 		// Re-resolve the CPU each retry: the fault handler may context
 		// switch.
-		cpu := m.cpu()
-		var e tlb.Entry
-		ok := false
-		// Micro-TLB: when this CPU's last translation was for the same
-		// page, probe the TLB with Touch — bookkeeping-identical to a
-		// Lookup hit — skipping the map lookup that straight-line page
-		// loops would otherwise pay on every access. A failed probe
-		// (entry since evicted or shot down) falls through to the full
-		// Lookup, whose miss handling is then identical to the path
-		// without the probe.
-		if try == 0 && !m.noFast && cpu.lastOK && cpu.lastSpace == space && cpu.lastVPN == vpn {
-			e, ok = cpu.TLB.Touch(space, vpn)
-		}
-		if !ok {
-			e, ok = cpu.TLB.Lookup(space, vpn, m.walker)
-		}
+		e, ok := m.cpu().TLB.Lookup(space, vpn, m.walker)
 		var kind FaultKind
 		switch {
 		case !ok:
@@ -492,7 +474,6 @@ func (m *Machine) translate(space arch.SpaceID, va arch.VA, acc Access) (arch.PA
 		case acc == AccessWrite && e.NeedModTrap:
 			kind = FaultModify
 		default:
-			cpu.lastSpace, cpu.lastVPN, cpu.lastOK = space, vpn, true
 			return m.Geom.Translate(va, e.PFN), e.Uncached, nil
 		}
 		f := Fault{Space: space, VA: va, Access: acc, Kind: kind}

@@ -303,3 +303,14 @@ func TestFetchUsesICache(t *testing.T) {
 		t.Error("fetch populated the data cache")
 	}
 }
+
+// TestNewRejectsTooManyCPUs: the CPU count is bounded before anything
+// is allocated, so one request or replay file cannot exhaust host
+// memory.
+func TestNewRejectsTooManyCPUs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CPUs = MaxCPUs + 1
+	if _, err := New(cfg); err == nil {
+		t.Errorf("New accepted %d CPUs", cfg.CPUs)
+	}
+}

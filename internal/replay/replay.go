@@ -7,6 +7,7 @@ import (
 	"vcache/internal/fs"
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/trace"
 	"vcache/internal/vm"
@@ -77,6 +78,9 @@ func (pr *Program) Spec() (harness.Spec, error) {
 	w, err := pr.Workload()
 	if err != nil {
 		return harness.Spec{}, err
+	}
+	if pr.Origin.CPUs > machine.MaxCPUs {
+		return harness.Spec{}, fmt.Errorf("replay: origin has %d CPUs, more than the maximum of %d", pr.Origin.CPUs, machine.MaxCPUs)
 	}
 	kc := kernel.DefaultConfig(cfg)
 	if pr.Origin.CPUs > 0 {

@@ -8,6 +8,7 @@ import (
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/trace"
 	"vcache/internal/workload"
@@ -287,5 +288,28 @@ func TestParseRejectsUnknownConfig(t *testing.T) {
 		if _, err := Parse(trace.Export{Origin: o, Events: ev}); err != nil {
 			t.Errorf("Parse rejected backend label %q: %v", label, err)
 		}
+	}
+}
+
+// TestSpecRejectsTooManyCPUs: a replay file's origin CPU count reaches
+// machine.New, so a count above machine.MaxCPUs must fail in Spec,
+// before any simulation state exists.
+func TestSpecRejectsTooManyCPUs(t *testing.T) {
+	ev := []trace.Event{{Kind: trace.EvOp, Note: "sync"}}
+	for _, n := range []int{machine.MaxCPUs + 1, 100000} {
+		pr, err := Parse(trace.Export{Origin: &trace.Origin{Workload: "x", Config: "A", CPUs: n}, Events: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.Spec(); err == nil {
+			t.Errorf("Spec accepted an origin with %d CPUs", n)
+		}
+	}
+	pr, err := FromNotesMP("x", "A", machine.MaxCPUs, []string{"sync"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.Spec(); err != nil {
+		t.Errorf("Spec rejected an origin with machine.MaxCPUs CPUs: %v", err)
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strings"
 
 	"vcache/internal/harness"
 	"vcache/internal/kernel"
+	"vcache/internal/machine"
 	"vcache/internal/policy"
 	"vcache/internal/sim"
 	"vcache/internal/workload"
@@ -125,15 +125,15 @@ func Resolve(req RunRequest) (*Resolved, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+	if !harness.ValidFactor(scale) {
 		return nil, fmt.Errorf("scale must be a positive number, got %v", req.Scale)
 	}
 	cpus := req.CPUs
 	if cpus == 0 {
 		cpus = 1
 	}
-	if cpus < 1 {
-		return nil, fmt.Errorf("cpus must be >= 1, got %d", req.CPUs)
+	if cpus < 1 || cpus > machine.MaxCPUs {
+		return nil, fmt.Errorf("cpus must be between 1 and %d, got %d", machine.MaxCPUs, req.CPUs)
 	}
 	if req.Frames < 0 {
 		return nil, fmt.Errorf("frames must be >= 0, got %d", req.Frames)

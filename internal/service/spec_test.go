@@ -1,8 +1,14 @@
 package service
 
 import (
+	"context"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"vcache/internal/machine"
 )
 
 func TestResolveDefaults(t *testing.T) {
@@ -78,7 +84,11 @@ func TestResolveValidation(t *testing.T) {
 		{"missing config", RunRequest{Workload: "kernel-build"}, "missing config"},
 		{"unknown config", RunRequest{Workload: "kernel-build", Config: "Z"}, "unknown config"},
 		{"negative scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: -0.5}, "scale"},
+		{"NaN scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: math.NaN()}, "scale"},
+		{"infinite scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: math.Inf(1)}, "scale"},
+		{"negative infinite scale", RunRequest{Workload: "kernel-build", Config: "F", Scale: math.Inf(-1)}, "scale"},
 		{"bad cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: -1}, "cpus"},
+		{"too many cpus", RunRequest{Workload: "kernel-build", Config: "F", CPUs: machine.MaxCPUs + 1}, "cpus"},
 		{"bad frames", RunRequest{Workload: "kernel-build", Config: "F", Frames: -4}, "frames"},
 		{"bad timeout", RunRequest{Workload: "kernel-build", Config: "F", TimeoutMS: -1}, "timeout_ms"},
 	} {
@@ -90,6 +100,27 @@ func TestResolveValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestCPUBoundRejected: a /run asking for more than machine.MaxCPUs
+// processors is a 400, answered before any simulation state exists.
+func TestCPUBoundRejected(t *testing.T) {
+	svc := New(Config{MaxConcurrent: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	defer svc.Shutdown(context.Background())
+
+	status, _, body := postRun(t, srv, RunRequest{Workload: "kernel-build", Config: "F", CPUs: machine.MaxCPUs + 1})
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", status, body)
+	}
+	if !strings.Contains(string(body), "cpus") {
+		t.Errorf("error does not name the field: %s", body)
+	}
+	if snap := svc.Metrics(); snap.RejectedInvalid != 1 || snap.RunsStarted != 0 {
+		t.Fatalf("expected 1 invalid rejection and no runs, got %d / %d",
+			snap.RejectedInvalid, snap.RunsStarted)
 	}
 }
 

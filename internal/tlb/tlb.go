@@ -64,23 +64,21 @@ type Stats struct {
 // TLB is a fully associative, LRU-replaced translation cache.
 // It is not safe for concurrent use.
 //
-// A one-entry last-translation cache (last/lastValid) fronts the map:
-// straight-line page loops hit the same slot on every access, so the
-// common case skips the map lookup entirely. The fast path is pure
-// mechanism — hits through it perform exactly the bookkeeping (tick,
-// stats, LRU stamp) of a map hit.
+// The slots are found through index, a flat open-addressed hash table:
+// index[c] == 0 marks an empty cell and index[c] == i+1 names slots[i].
+// It holds exactly the valid slots, is at least twice as long as slots
+// (so every probe run ends at an empty cell), probes linearly from a
+// multiplicative hash of the key, and deletes by backward shift, so it
+// needs no tombstones and never allocates after New. The index only
+// finds slots; hits, misses, LRU stamps and victim choice are decided by
+// the slots alone, exactly as in a linear search over them.
 type TLB struct {
 	slots []slot
-	index map[key]int
+	index []int32
+	shift uint // 64 - log2(len(index)): the hash's top bits pick the home cell
 	clock *sim.Clock
 	tick  uint64
 	stats Stats
-
-	// last is the slot index of the most recent hit or refill;
-	// lastValid gates it. Invalidation clears it unconditionally —
-	// correctness never depends on it being set.
-	last      int
-	lastValid bool
 }
 
 // New returns a TLB with the given number of entries.
@@ -88,9 +86,14 @@ func New(entries int, clock *sim.Clock) *TLB {
 	if entries <= 0 {
 		entries = 96 // the PA7000's combined TLB size class
 	}
+	cells, shift := 2, uint(63)
+	for cells < 2*entries {
+		cells, shift = cells*2, shift-1
+	}
 	return &TLB{
 		slots: make([]slot, entries),
-		index: make(map[key]int, entries),
+		index: make([]int32, cells),
+		shift: shift,
 		clock: clock,
 	}
 }
@@ -99,18 +102,46 @@ func New(entries int, clock *sim.Clock) *TLB {
 func (t *TLB) Stats() Stats { return t.stats }
 
 // Clone returns an independent copy of the TLB charging cycles to clock
-// (snapshot/fork support). Slots, the index, the LRU tick, and the
-// one-entry last-translation cache are all preserved so a fork's
-// replacement decisions replay identically.
+// (snapshot/fork support). Slots, the index and the LRU tick are all
+// preserved so a fork's replacement decisions replay identically.
 func (t *TLB) Clone(clock *sim.Clock) *TLB {
 	t2 := *t
 	t2.clock = clock
 	t2.slots = append([]slot(nil), t.slots...)
-	t2.index = make(map[key]int, len(t.index))
-	for k, i := range t.index {
-		t2.index[k] = i
-	}
+	t2.index = append([]int32(nil), t.index...)
 	return &t2
+}
+
+// home returns the index cell where k's probe run starts.
+func (t *TLB) home(k key) int {
+	return int(((uint64(k.space) << 40) ^ uint64(k.vpn)) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// find returns the index cell holding k and its slot, or the empty cell
+// that ends k's probe run and slot -1.
+func (t *TLB) find(k key) (cell, slot int) {
+	mask := len(t.index) - 1
+	for cell = t.home(k); ; cell = (cell + 1) & mask {
+		s := int(t.index[cell]) - 1
+		if s < 0 || t.slots[s].key == k {
+			return cell, s
+		}
+	}
+}
+
+// unlink empties index cell c by backward shift: each later entry of
+// the probe run whose home cell does not lie cyclically after the hole
+// moves into it, so every remaining key stays reachable from its home.
+func (t *TLB) unlink(c int) {
+	mask := len(t.index) - 1
+	for next := (c + 1) & mask; t.index[next] != 0; next = (next + 1) & mask {
+		h := t.home(t.slots[t.index[next]-1].key)
+		if (next-h)&mask >= (next-c)&mask {
+			t.index[c] = t.index[next]
+			c = next
+		}
+	}
+	t.index[c] = 0
 }
 
 // Lookup translates (space, vpn), walking the page tables via w on a
@@ -118,17 +149,9 @@ func (t *TLB) Clone(clock *sim.Clock) *TLB {
 func (t *TLB) Lookup(space arch.SpaceID, vpn arch.VPN, w Walker) (Entry, bool) {
 	t.tick++
 	k := key{space, vpn}
-	if t.lastValid {
-		if s := &t.slots[t.last]; s.valid && s.key == k {
-			t.stats.Hits++
-			s.lru = t.tick
-			return s.entry, true
-		}
-	}
-	if i, hit := t.index[k]; hit {
+	if _, i := t.find(k); i >= 0 {
 		t.stats.Hits++
 		t.slots[i].lru = t.tick
-		t.last, t.lastValid = i, true
 		return t.slots[i].entry, true
 	}
 	t.stats.Misses++
@@ -141,36 +164,13 @@ func (t *TLB) Lookup(space arch.SpaceID, vpn arch.VPN, w Walker) (Entry, bool) {
 	return e, true
 }
 
-// Touch is the micro-TLB probe: if (space, vpn) is resident it performs
-// the exact bookkeeping of a Lookup hit (tick, hit count, LRU stamp) and
-// returns the entry; if not it does nothing and reports ok=false, and
-// the caller must fall back to a full Lookup (whose miss bookkeeping
-// then matches the slow path exactly). No page-table walk ever happens
-// here, so the referenced bit is untouched — just like a hardware hit.
-func (t *TLB) Touch(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
-	k := key{space, vpn}
-	var i int
-	if t.lastValid && t.slots[t.last].valid && t.slots[t.last].key == k {
-		i = t.last
-	} else if j, hit := t.index[k]; hit {
-		i = j
-	} else {
-		return Entry{}, false
-	}
-	t.tick++
-	t.stats.Hits++
-	t.slots[i].lru = t.tick
-	t.last, t.lastValid = i, true
-	return t.slots[i].entry, true
-}
-
 // Peek reports the resident translation for (space, vpn) without any
 // bookkeeping at all — no tick, no hit count, no LRU update. The bulk
 // page paths use it to learn the physical frame and cacheability after
 // the first word's full access has refilled the TLB; the accesses they
 // then model in bulk go through TouchRepeat, which does the accounting.
 func (t *TLB) Peek(space arch.SpaceID, vpn arch.VPN) (Entry, bool) {
-	if i, ok := t.index[key{space, vpn}]; ok {
+	if _, i := t.find(key{space, vpn}); i >= 0 {
 		return t.slots[i].entry, true
 	}
 	return Entry{}, false
@@ -188,22 +188,19 @@ func (t *TLB) TouchRepeat(space arch.SpaceID, vpn arch.VPN, n uint64) bool {
 	if n == 0 {
 		return true
 	}
-	k := key{space, vpn}
-	var i int
-	if t.lastValid && t.slots[t.last].valid && t.slots[t.last].key == k {
-		i = t.last
-	} else if j, hit := t.index[k]; hit {
-		i = j
-	} else {
+	_, i := t.find(key{space, vpn})
+	if i < 0 {
 		return false
 	}
 	t.tick += n
 	t.stats.Hits += n
 	t.slots[i].lru = t.tick
-	t.last, t.lastValid = i, true
 	return true
 }
 
+// insert places k in the first invalid slot, else evicts the least
+// recently used one (the first of equals in slot order). k must not be
+// resident.
 func (t *TLB) insert(k key, e Entry) {
 	victim := 0
 	for i := range t.slots {
@@ -216,25 +213,28 @@ func (t *TLB) insert(k key, e Entry) {
 		}
 	}
 	t.stats.Evictions++
-	delete(t.index, t.slots[victim].key)
+	t.drop(victim)
 place:
 	t.slots[victim] = slot{key: k, entry: e, valid: true, lru: t.tick}
-	t.index[k] = victim
-	t.last, t.lastValid = victim, true
+	c, _ := t.find(k)
+	t.index[c] = int32(victim + 1)
+}
+
+// drop invalidates valid slot i and removes it from the index.
+func (t *TLB) drop(i int) {
+	c, _ := t.find(t.slots[i].key)
+	t.unlink(c)
+	t.slots[i].valid = false
 }
 
 // InvalidatePage drops any cached translation for (space, vpn). The pmap
 // layer must call this whenever it changes that page's mapping,
 // protection, or modify-trap state.
 func (t *TLB) InvalidatePage(space arch.SpaceID, vpn arch.VPN) {
-	k := key{space, vpn}
-	if i, ok := t.index[k]; ok {
+	if c, i := t.find(key{space, vpn}); i >= 0 {
 		t.stats.Shootdowns++
+		t.unlink(c)
 		t.slots[i].valid = false
-		delete(t.index, k)
-		if t.last == i {
-			t.lastValid = false
-		}
 	}
 }
 
@@ -247,11 +247,7 @@ func (t *TLB) InvalidateSpace(space arch.SpaceID) {
 	t.stats.Shootdowns++
 	for i := range t.slots {
 		if t.slots[i].valid && t.slots[i].key.space == space {
-			t.slots[i].valid = false
-			delete(t.index, t.slots[i].key)
-			if t.last == i {
-				t.lastValid = false
-			}
+			t.drop(i)
 		}
 	}
 }
@@ -262,6 +258,5 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.slots {
 		t.slots[i].valid = false
 	}
-	t.index = make(map[key]int, len(t.slots))
-	t.lastValid = false
+	clear(t.index)
 }
